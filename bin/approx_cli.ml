@@ -620,15 +620,14 @@ let parse_fsync s =
        | "every-n-records", Some n when n >= 1 -> Some (Persist.Wal.Every_n n)
        | _ -> None)
 
-let run_serve shards io_domains queue_capacity max_batch max_pending max_conns
+let run_serve shards io_domains max_batch max_pending max_conns
     poller unix tcp counters k duration node_id nodes replicas
     gossip_interval_ms k_staleness digest_interval_ticks gossip_wire_spec
     peers_spec data_dir fsync_spec snapshot_interval_ms =
   if shards < 1 || io_domains < 1 || counters < 1 || k < 2
-     || queue_capacity < 1 || max_batch < 1 || max_pending < 1
-     || max_conns < 1
+     || max_batch < 1 || max_pending < 1 || max_conns < 1
   then begin
-    prerr_endline "serve: shards/io-domains/counters/queue/batch/pending/\
+    prerr_endline "serve: shards/io-domains/counters/batch/pending/\
                    max-conns must be positive and k >= 2";
     2
   end
@@ -673,7 +672,6 @@ let run_serve shards io_domains queue_capacity max_batch max_pending max_conns
     let config =
       { Service.Server.shards;
         io_domains;
-        queue_capacity;
         max_batch;
         max_pending;
         max_conns;
@@ -715,9 +713,9 @@ let run_serve shards io_domains queue_capacity max_batch max_pending max_conns
         Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
     in
     Printf.printf "serving %d objects on %s: %d shard(s), %d io domain(s), \
-                   batch<=%d, queue=%d, pending<=%d, conns<=%d, poller=%s\n%!"
+                   batch<=%d, pending<=%d, conns<=%d, poller=%s\n%!"
       (List.length config.specs) addr shards io_domains max_batch
-      queue_capacity max_pending max_conns
+      max_pending max_conns
       (Service.Server.poller_name srv);
     if nodes > 1 then
       Printf.printf
@@ -756,24 +754,24 @@ let run_serve shards io_domains queue_capacity max_batch max_pending max_conns
   end
 
 let serve_cmd =
-  let queue_arg =
-    Arg.(value & opt int 1024
-         & info [ "queue" ] ~docv:"Q" ~doc:"Per-shard task-queue bound.")
-  in
   let batch_arg =
     Arg.(value & opt int 64
          & info [ "batch" ] ~docv:"B"
-             ~doc:"Max tasks one shard wakeup drains.")
+             ~doc:"Max tasks one locked shard batch executes.")
   in
   let pending_arg =
     Arg.(value & opt int 256
          & info [ "pending" ] ~docv:"P"
              ~doc:"Per-connection in-flight request bound (beyond it \
-                   the server answers BUSY).")
+                   the server answers BUSY). Only takes effect below \
+                   shards x batch: a staged op is answered within its \
+                   cycle, so no connection holds more pending.")
   in
   let shards_arg =
     Arg.(value & opt int 2
-         & info [ "shards" ] ~docv:"S" ~doc:"Worker domains.")
+         & info [ "shards" ] ~docv:"S"
+             ~doc:"Shard locks objects are hashed over (the approximate \
+                   objects' process count).")
   in
   let io_domains_arg =
     Arg.(value & opt int 1
@@ -870,8 +868,7 @@ let serve_cmd =
        ~doc:"Host approximate objects behind the binary wire protocol \
              (sharded multi-domain server with built-in metrics and \
              optional delta-gossip clustering)")
-    Term.(const run_serve $ shards_arg $ io_domains_arg $ queue_arg
-          $ batch_arg $ pending_arg $ max_conns_arg $ poller_arg $ unix_arg
+    Term.(const run_serve $ shards_arg $ io_domains_arg $ batch_arg $ pending_arg $ max_conns_arg $ poller_arg $ unix_arg
           $ tcp_arg $ counters_arg $ k_arg $ duration_arg $ node_id_arg
           $ nodes_arg $ replicas_arg $ gossip_arg $ k_staleness_arg
           $ digest_interval_arg $ gossip_wire_arg

@@ -86,11 +86,4 @@ let add_string t s =
   Bytes.blit_string s 0 t.buf t.len n;
   t.len <- t.len + n
 
-let swap a b =
-  let buf = a.buf and len = a.len in
-  a.buf <- b.buf;
-  a.len <- b.len;
-  b.buf <- buf;
-  b.len <- len
-
 let contents t = Bytes.sub_string t.buf 0 t.len

@@ -1,16 +1,15 @@
-(** Growable output byte buffer with swappable storage — the service's
-    zero-copy alternative to [Buffer.t] on the response flush path.
+(** Growable output byte buffer whose storage is written out directly
+    — the service's zero-copy alternative to [Buffer.t] on the response
+    flush path and the WAL's staging buffer.
 
-    [Buffer.to_bytes] copies the whole contents on every flush cycle;
-    {!swap} instead exchanges the {e storage} of two buffers in O(1)
-    with no allocation, so a connection can keep one buffer on the
-    shard-write side and one on the I/O-flush side and rotate them
-    under its mutex forever. Once both buffers have grown to the
-    steady-state response volume, the enqueue/swap/write cycle
+    [Buffer.to_bytes] copies the whole contents on every flush; here
+    the owner hands {!bytes} straight to [write(2)] and {!clear}s the
+    buffer once it drained, keeping the capacity. Once a buffer has
+    grown to the steady-state volume, the encode/write/clear cycle
     allocates zero heap words (asserted by a [Gc.minor_words] test).
 
-    Not thread-safe: callers serialize access (the server uses the
-    per-connection output mutex). *)
+    Not thread-safe: callers serialize access (a server connection's
+    buffer belongs to its I/O loop; the WAL holds its mutex). *)
 
 type t
 
@@ -25,7 +24,7 @@ val capacity : t -> int
 
 val bytes : t -> Bytes.t
 (** The underlying storage; valid data is [[0, length)]. The reference
-    is invalidated by the next growing append or {!swap}. *)
+    is invalidated by the next growing append. *)
 
 val clear : t -> unit
 (** Drop the contents, keep the capacity. *)
@@ -57,10 +56,6 @@ val varint_len : int -> int
     writing anything — used for frame-budget accounting. *)
 
 val add_string : t -> string -> unit
-
-val swap : t -> t -> unit
-(** Exchange the two buffers' storage and lengths. O(1), no copy, no
-    allocation. *)
 
 val contents : t -> string
 (** Copy out the valid bytes (tests and debugging; allocates). *)

@@ -117,7 +117,7 @@ let read_whole path =
 (* Walk the frames of [b] starting after the header. Returns the
    decoded entries in append order, the count of good frames, the
    offset of the first bad byte (= valid length) and whether anything
-   trailing was cut. Shared by {!scan} and {!truncate_upto}. *)
+   trailing was cut. Used by {!scan}. *)
 let walk_frames b =
   let len = Bytes.length b in
   let rec go pos count acc =
@@ -300,7 +300,9 @@ let next_index t =
    the snapshot taken at index [idx]) by rewriting header + surviving
    tail into a temp file and renaming it into place. Runs under the
    mutex; appends block for the duration, which is bounded by the
-   between-snapshots write volume. *)
+   between-snapshots write volume. The log is streamed through a
+   channel, so memory stays one buffer however much was written since
+   the last snapshot. *)
 let truncate_upto t idx =
   Mutex.lock t.mu;
   Fun.protect
@@ -309,39 +311,55 @@ let truncate_upto t idx =
       let idx = min idx t.next in
       if (not t.closed) && idx > t.base then begin
         flush_locked t;
-        match read_whole t.path with
-        | None -> ()
-        | Some b ->
-          (* Find the byte offset of record [idx] by walking frames we
-             wrote ourselves; defensively stop at any malformed frame. *)
-          let len = Bytes.length b in
-          let rec cut_off pos i =
-            if i >= idx || pos + frame_header_len > len then pos
-            else begin
-              let plen = get_u32 b pos in
-              if plen < 3 || pos + frame_header_len + plen > len then pos
-              else cut_off (pos + frame_header_len + plen) (i + 1)
-            end
-          in
-          let cut = cut_off header_len t.base in
-          let tmp = t.path ^ ".tmp" in
-          let tfd =
-            Unix.openfile tmp
-              [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-              0o644
-          in
-          write_header tfd ~base:idx;
-          write_all tfd b cut (len - cut);
-          (try Unix.fsync tfd with Unix.Unix_error _ -> ());
-          Unix.close tfd;
-          Unix.rename tmp t.path;
-          fsync_dir t.dir;
-          Unix.close t.fd;
-          let fd = Unix.openfile t.path [ Unix.O_RDWR ] 0o644 in
-          ignore (Unix.lseek fd 0 Unix.SEEK_END);
-          t.fd <- fd;
-          t.base <- idx;
-          t.truncations <- t.truncations + 1
+        match open_in_bin t.path with
+        | exception Sys_error _ -> ()
+        | ic ->
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              let len = in_channel_length ic in
+              (* Find the byte offset of record [idx] by walking the
+                 frame headers we wrote ourselves (seeks within the
+                 channel buffer cost no syscall); defensively stop at
+                 any malformed frame. *)
+              let rec cut_off pos i =
+                if i >= idx || pos + frame_header_len > len then pos
+                else begin
+                  seek_in ic pos;
+                  let plen = input_binary_int ic in
+                  if plen < 3 || pos + frame_header_len + plen > len then pos
+                  else cut_off (pos + frame_header_len + plen) (i + 1)
+                end
+              in
+              let cut = cut_off header_len t.base in
+              let tmp = t.path ^ ".tmp" in
+              let tfd =
+                Unix.openfile tmp
+                  [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
+                  0o644
+              in
+              write_header tfd ~base:idx;
+              seek_in ic cut;
+              let buf = Bytes.create 65536 in
+              let rec copy left =
+                if left > 0 then
+                  match input ic buf 0 (min left (Bytes.length buf)) with
+                  | 0 -> ()
+                  | n ->
+                    write_all tfd buf 0 n;
+                    copy (left - n)
+              in
+              copy (len - cut);
+              (try Unix.fsync tfd with Unix.Unix_error _ -> ());
+              Unix.close tfd;
+              Unix.rename tmp t.path;
+              fsync_dir t.dir;
+              Unix.close t.fd;
+              let fd = Unix.openfile t.path [ Unix.O_RDWR ] 0o644 in
+              ignore (Unix.lseek fd 0 Unix.SEEK_END);
+              t.fd <- fd;
+              t.base <- idx;
+              t.truncations <- t.truncations + 1)
       end)
 
 let stats t =

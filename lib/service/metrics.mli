@@ -3,14 +3,15 @@
     the k-multiplicative accuracy self-check results, exported as one
     JSON document through the STATS protocol op.
 
-    Ownership discipline instead of locks: every mutable field has a
-    single writing domain — an {!obj} or {!shard} record is written
-    only by the shard that owns it, an {!io_loop} record only by its
-    event-loop domain. Readers (the STATS handler, tests) may look at
-    any field from any domain and observe a momentarily stale but
-    memory-safe snapshot; OCaml immediate ints never tear. Shard,
-    object and io-loop records are cache-line padded so two domains
-    bumping their own counters never share a line. *)
+    Ownership discipline instead of per-counter synchronization: every
+    mutable field has one writer at a time — an {!obj} or {!shard}
+    record is written only by whichever I/O loop holds that shard's
+    lock (the mutex orders successive holders), an {!io_loop} record
+    only by its event-loop domain. Readers (the STATS handler, tests)
+    may look at any field from any domain and observe a momentarily
+    stale but memory-safe snapshot; OCaml immediate ints never tear.
+    Shard, object and io-loop records are cache-line padded so two
+    domains bumping their own counters never share a line. *)
 
 type obj = {
   o_name : string;
@@ -31,7 +32,7 @@ type obj = {
   mutable last_served : int;
   mutable last_exact : int;
   mutable batch_read_hits : int;
-      (** READs answered from the per-drain memo instead of a fresh
+      (** READs answered from the per-batch memo instead of a fresh
           object read (drain-batch read fusion). *)
   mutable cache_hits : int;
       (** The algorithm-level validated-cache hit counter (snapshot of
@@ -54,23 +55,24 @@ type obj = {
 
 type shard = {
   s_shard : int;
-  mutable tasks : int;  (** Requests executed by this shard. *)
-  mutable batches : int;  (** Queue drains (>= 1 task each). *)
+  mutable tasks : int;  (** Requests executed under this shard's lock. *)
+  mutable batches : int;  (** Locked batches executed (>= 1 task each). *)
   mutable max_batch : int;
   mutable fused_applies : int;
-      (** Bulk applies performed — dirty objects per drain, summed. *)
+      (** Bulk applies performed — dirty objects per batch, summed. *)
   mutable deferred_ops : int;
       (** INC/ADD requests that were coalesced into those applies. *)
   mutable merge_tasks : int;
       (** Gossip entries merged into objects this shard owns. *)
   mutable boundary_kicks : int;
-      (** Drains whose growth crossed the k_staleness boundary and
+      (** Batches whose growth crossed the k_staleness boundary and
           eagerly woke the gossip sender. *)
   s_fused : Histogram.t;
-      (** Per drain: INC/ADD requests coalesced (the fused-ops-per-
-          drain distribution; 0 for drains with no increments). *)
+      (** Per batch: INC/ADD requests coalesced (the fused-ops-per-
+          batch distribution; 0 for batches with no increments). *)
   s_latency : Histogram.t;
-      (** Nanoseconds from I/O-domain enqueue to response encoded. *)
+      (** Nanoseconds ([CLOCK_MONOTONIC]) from the staging stamp of
+          the task's loop cycle to its response encoded. *)
 }
 
 (** Per-event-loop counters; written only by the owning I/O domain.
@@ -90,8 +92,9 @@ type io_loop = {
   mutable l_oversized_frames : int;
   mutable l_stats_requests : int;
   mutable l_wakeups : int;
-      (** Wake-pipe bytes drained — producer-side wake() calls
-          observed by this loop. *)
+      (** Wake-pipe bytes drained — accept handoffs from loop 0 and
+          the stop request. Requests never wake a loop: 0 on a 1-loop
+          server. *)
   mutable l_cycles : int;
       (** Event-loop cycles that had at least one ready fd (idle
           timeout cycles are not counted). *)
@@ -109,7 +112,7 @@ type io_loop = {
       (** Connections closed for a version mismatch or a non-HELLO
           first frame. *)
   mutable l_gossip_frames : int;  (** Inbound GOSSIP/GOSSIP2 frames. *)
-  mutable l_gossip_entries : int;  (** Entries routed to shard queues. *)
+  mutable l_gossip_entries : int;  (** Entries staged for their shard. *)
   mutable l_digest_frames : int;  (** Inbound DIGEST frames. *)
   mutable l_digest_mismatches : int;
       (** Digest entries whose fingerprint or total disagreed with the
@@ -122,8 +125,9 @@ type io_loop = {
       (** Object ops that fell back to the name table (first use of a
           name on a connection, or a cache-slot collision). *)
   l_cycle_ns : Histogram.t;
-      (** Duration of active cycles: readiness dispatch + parsing +
-          flushing, select wait excluded. *)
+      (** Duration ([CLOCK_MONOTONIC] ns) of active cycles: readiness
+          dispatch + parsing + executing the staged ops + flushing,
+          poller wait excluded. *)
   l_flush_bytes : Histogram.t;  (** Bytes pushed per flush [write]. *)
   l_read_batch : Histogram.t;
       (** Requests decoded per read syscall on this loop. *)

@@ -29,8 +29,9 @@ let default_specs ~counters ~k =
       { name = "kmaxreg"; kind = Kmaxreg { k; m = 1 lsl 30 } };
       { name = "cas-maxreg"; kind = Cas_maxreg } ]
 
-(* The debug exact shadow is a plain mutable int: the owning shard is
-   the only writer and compares in the same serialised step. *)
+(* The debug exact shadow is a plain mutable int: the holder of the
+   shard lock is the only writer and compares in the same serialised
+   step. *)
 type impl =
   | I_kcounter of Mcore.Mc_kcounter.t * int ref * int  (* counter, exact, k *)
   | I_faa of Mcore.Mc_baselines.Faa_counter.t
@@ -38,14 +39,14 @@ type impl =
   | I_casmax of Mcore.Mc_baselines.Cas_maxreg.t
 
 (* [pending_delta]/[o_dirty] and [batch_value]/[batch_stamp] are
-   drain-batch scratch, touched only by the owning shard between a
-   queue drain's accumulate and reply phases (Server.exec_batch):
-   deferred increments fused into one [apply_pending], and the one
-   computed read value every READ of the drain is answered from.
+   batch scratch, touched only by the owning shard between a locked
+   batch's accumulate and reply phases (Server.exec_batch): deferred
+   increments fused into one [apply_pending], and the one computed
+   read value every READ of the batch is answered from.
 
    Replication state ([r_*]) is written only by the owning shard —
-   remote merges are routed through the shard queue like any other op
-   — and read racily by the gossip-sender domain. Every replicated
+   remote merges execute under the shard lock like any other op — and
+   read racily by the gossip-sender domain. Every replicated
    quantity is monotone (G-counter slots, maxima), so a torn export is
    a pointwise lower bound of the current state, which gossip merges
    absorb harmlessly. [r_last_sent] is the one field the sender writes
@@ -62,7 +63,7 @@ type obj = {
   mutable pending_delta : int;
   mutable o_dirty : bool;
   mutable batch_value : int;
-  mutable batch_stamp : int;  (* drain stamp of batch_value; -1 = none *)
+  mutable batch_stamp : int;  (* batch stamp of batch_value; -1 = none *)
   mutable r_base : int;  (* own contribution recovered from peers after restart *)
   mutable r_recovering : bool;  (* withhold own slot until the first echo *)
   r_vec : int array;  (* merged remote slots (own slot unused) *)
@@ -80,7 +81,7 @@ let stats o = o.o_stats
 let is_counter_obj o = is_counter o.o_spec.kind
 
 (* ADD deltas beyond this are rejected as Bad_request: it keeps a
-   drain's fused total (max_batch * delta) far from int overflow while
+   batch's fused total (max_batch * delta) far from int overflow while
    allowing any sane client-side batch. *)
 let max_add_delta = 1 lsl 32
 
@@ -553,7 +554,7 @@ let read o ~pid =
 
 (* Accumulate one INC ([via_add = false], delta 1) or ADD into the
    object's pending total. Returns [true] iff this deferral dirtied a
-   clean object — the caller's cue to put it on the drain's dirty
+   clean object — the caller's cue to put it on the batch's dirty
    list. The caller must have validated kind (counter) and delta
    ([0 .. max_add_delta]). *)
 let defer o ~via_add delta =
@@ -566,7 +567,7 @@ let defer o ~via_add delta =
     true
   end
 
-(* Apply every deferred increment of the drain as one bulk add. *)
+(* Apply every deferred increment of the batch as one bulk add. *)
 let apply_pending o ~pid =
   let n = o.pending_delta in
   o.pending_delta <- 0;
@@ -582,12 +583,12 @@ let apply_pending o ~pid =
     refresh_repl o
   end
 
-(* Serve a READ within drain [stamp]: compute the value once per
-   (object, drain), answer every further READ of the drain from the
-   memo. Sound because all requests popped in one drain are in flight
-   concurrently — any of them may linearize at the single computed
-   read. [stamp] must be distinct per drain (the shard's drain
-   counter). *)
+(* Serve a READ within batch [stamp]: compute the value once per
+   (object, batch), answer every further READ of the batch from the
+   memo. Sound because all requests staged in one loop cycle are in
+   flight concurrently — any of them may linearize at the single
+   computed read. [stamp] must be distinct per batch (the shard's
+   batch counter, bumped under its lock). *)
 let batch_read o ~pid ~stamp =
   if o.batch_stamp = stamp then begin
     o.o_stats.reads <- o.o_stats.reads + 1;

@@ -3,18 +3,19 @@
     (Algorithm 2) in their multicore [Atomic_backend] instantiations,
     plus the exact baselines they are traded off against.
 
-    Routing: an object's name hashes to one shard, which owns the
-    object for its lifetime — every INC/READ/WRITE on it executes on
-    that shard's domain with [pid = shard]. Single-shard ownership
+    Routing: an object's name hashes to one shard for its lifetime.
+    The {e owning shard} below means whichever I/O loop currently
+    holds that shard's lock ({!Server}): every INC/READ/WRITE on the
+    object executes under the lock with [pid = shard]. The lock
     serialises each object's operations, which makes the accuracy
     self-check exact: at the moment a READ executes there is no
     concurrent increment, so the served value must satisfy the
     k-multiplicative envelope against the debug exact counter, not
     just up to a race. The envelope is still the multicore code path —
     the algorithm instances are created with [n = shards] and run on
-    whatever domain owns the shard.
+    whichever domain holds the lock.
 
-    The table is immutable after {!build}; lookups from the I/O domain
+    The table is immutable after {!build}; lookups from the I/O loops
     race with nothing. Objects carry a dense id (their index in the
     table array, registration order), which is what the per-request
     hot path resolves names to — via a per-connection {!Intern} cache
@@ -57,7 +58,7 @@ val is_counter_obj : obj -> bool
 
 val max_add_delta : int
 (** Largest ADD delta the server accepts per request ([2^32]); keeps
-    a drain's fused total far from int overflow. *)
+    a batch's fused total far from int overflow. *)
 
 type table
 
@@ -128,8 +129,8 @@ end
     reordered or replayed without widening the served envelope.
 
     Writer discipline matches the rest of the table: {!merge_delta}
-    runs only on the owning shard (gossip entries are routed to shard
-    queues like any other op); {!export_delta}, {!own_total} and
+    runs only on the owning shard (gossip entries are staged and
+    executed under the shard lock like any other op); {!export_delta}, {!own_total} and
     {!known} are racy snapshot reads — safe because every slot is
     monotone, so a torn vector is a pointwise lower bound of some
     reachable state. {!mark_exported}/{!last_sent} are written only by
@@ -218,7 +219,7 @@ val confirm_echo : obj -> unit
     peer: equal exports prove the peer already holds everything this
     node's own slot withheld, so there is no echo left to wait for.
     No-op unless {!recovering}. Owning shard only — route it through
-    the shard queue like a merge. *)
+    the shard lock like a merge. *)
 
 (** {2 Durability}
 
@@ -275,19 +276,20 @@ val write : obj -> pid:int -> int -> (int, unit) result
 (** {2 Drain-batch fusion}
 
     Owning shard only, between the accumulate and reply phases of one
-    queue drain ({!Server}); see each function's comment in the
+    locked batch ({!Server}); see each function's comment in the
     implementation for the linearizability argument. *)
 
 val defer : obj -> via_add:bool -> int -> bool
 (** Accumulate one INC ([via_add = false], delta 1) or ADD (delta in
     [0 .. max_add_delta], validated by the caller) into the object's
     pending total; [true] iff the object was clean (caller adds it to
-    the drain's dirty list). Counter objects only. *)
+    the batch's dirty list). Counter objects only. *)
 
 val apply_pending : obj -> pid:int -> unit
-(** Apply the drain's deferred increments as one bulk add and mark the
+(** Apply the batch's deferred increments as one bulk add and mark the
     object clean. *)
 
 val batch_read : obj -> pid:int -> stamp:int -> int
-(** Serve a READ in drain [stamp], computing the object's value at
-    most once per drain ([stamp] must be distinct per drain). *)
+(** Serve a READ in batch [stamp], computing the object's value at
+    most once per batch ([stamp] must be distinct per batch of the
+    object's shard). *)

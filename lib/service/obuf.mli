@@ -17,5 +17,4 @@ val add_i64_be : t -> int -> unit
 val add_varint : t -> int -> unit
 val varint_len : int -> int
 val add_string : t -> string -> unit
-val swap : t -> t -> unit
 val contents : t -> string

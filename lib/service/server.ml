@@ -3,7 +3,6 @@ type listen = [ `Unix of string | `Tcp of string * int ]
 type config = {
   shards : int;
   io_domains : int;
-  queue_capacity : int;
   max_batch : int;
   max_pending : int;
   max_conns : int;
@@ -31,7 +30,6 @@ type config = {
 let default_config =
   { shards = 2;
     io_domains = 1;
-    queue_capacity = 1024;
     max_batch = 64;
     max_pending = 256;
     max_conns = 1024;
@@ -50,27 +48,19 @@ let default_config =
     snapshot_interval_ms = 1000;
     wal_every_op = false }
 
-(* Connection state is split by owner: [c_in]/[c_in_len], the flush
-   buffer/cursor and the pause flag belong to the owning I/O loop
-   alone; [c_out] is the only cross-domain buffer and is guarded by
-   [c_out_mu]; [c_pending]/[c_backlog]/[c_has_out] are atomics;
-   [c_alive] is written by the I/O loop and read racily by shards (a
-   stale [true] merely encodes a response that is never flushed).
-
-   The output path is a double buffer: shards append into [c_out]
-   (a growable Obuf) under the mutex; the I/O loop swaps the two
-   buffers' storage in O(1) under the same mutex and writes [c_flush]
-   to the socket — no [Buffer.to_bytes] copy, zero steady-state
-   allocation once both buffers are warm. [c_backlog] counts enqueued-
-   but-unwritten bytes (incremented at enqueue, decremented at write),
-   so the read-pause watermark check is one atomic load instead of a
-   mutex acquisition per connection per cycle. *)
 (* Until HELLO lands a connection is [Pending]: any other frame is a
    handshake violation. The negotiated role picks the inbound frame
    cap (peers may ship ~1 MiB gossip frames, so [c_in] grows on
    demand) and gates GOSSIP. *)
 type conn_role = Pending | Client_role | Peer_role
 
+(* A connection belongs to exactly one I/O loop for its lifetime
+   (round-robin at accept), and every field is that loop's alone: its
+   requests are parsed, executed and answered on the home loop, so no
+   other domain ever touches it. Replies are encoded straight into
+   [c_out]; [c_out_off] is how much of it the socket has taken, and
+   the buffer rewinds to empty whenever it drains, so the unwritten
+   backlog is [length - off] with no separate counter. *)
 type conn = {
   c_fd : Unix.file_descr;
   mutable c_in : Bytes.t;
@@ -78,59 +68,73 @@ type conn = {
   mutable c_role : conn_role;
   mutable c_close_after_flush : bool;
       (* set with the BAD_VERSION reply: drain the buffer, then close *)
-  c_out_mu : Mutex.t;
   c_out : Obuf.t;
-  c_flush : Obuf.t;
-  mutable c_flush_off : int;
-  c_backlog : int Atomic.t;
-  c_pending : int Atomic.t;
-  c_has_out : bool Atomic.t;
+  mutable c_out_off : int;
+  mutable c_pending : int;  (* object ops staged and not yet answered *)
+  mutable c_queued : bool;  (* on the home loop's flush list *)
   mutable c_alive : bool;
   mutable c_slot : int;  (* poller slot in the home loop; -1 = unregistered *)
   mutable c_paused : bool;  (* read interest off (backlog watermark) *)
   c_home : io_loop;
   c_intern : Objects.Intern.t;
-      (* connection-local name -> dense-id cache; only the owning
-         loop touches it, and the table it mirrors is immutable *)
+      (* connection-local name -> dense-id cache; the table it mirrors
+         is immutable *)
   mutable c_peer_map : int array;
       (* peer connections only: sender dense id -> local dense id
          (-1 unmapped), taught by the named first mention of each
-         object (GOSSIP2/DIGEST wire interning). Grown on demand;
-         owned by the connection's I/O loop like [c_intern]. *)
+         object (GOSSIP2/DIGEST wire interning). Grown on demand. *)
 }
 
-(* One event loop per I/O domain. A connection belongs to exactly one
-   loop for its lifetime (round-robin at accept), so all poller and
-   buffer bookkeeping is loop-local; the only cross-domain doors are
-   the two mutex-guarded queues ([l_flushq] from shards with replies,
-   [l_handoff] from the accepting loop) and the wake pipe. *)
+(* One event loop per I/O domain. Everything is loop-local except the
+   handoff list (the accepting loop pushes accepted connections under
+   [l_mu]) and the wake pipe, which carries only handoffs and stop. *)
 and io_loop = {
   l_index : int;
   l_wake_r : Unix.file_descr;
   l_wake_w : Unix.file_descr;
   l_metrics : Metrics.io_loop;
   l_poller : slot_kind Poller.t;
-  l_mu : Mutex.t;  (* guards l_flushq and l_handoff *)
-  mutable l_flushq : conn list;  (* conns that turned flushable *)
+  l_mu : Mutex.t;  (* guards l_handoff *)
   mutable l_handoff : conn list;  (* accepted conns awaiting registration *)
-  mutable l_paused : conn list;  (* loop-local; no lock *)
+  mutable l_flushq : conn list;  (* conns with replies to write this cycle *)
+  mutable l_paused : conn list;
+  l_stages : stage array;  (* one per shard: this cycle's staged ops *)
+  l_dirty : Objects.obj option array;  (* exec_batch scratch, max_batch wide *)
+  mutable l_staged : int;
+      (* the staging stamp of every task this cycle stages: one clock
+         read, at the cycle's first stage (-1 = none yet) *)
 }
 
 and slot_kind = Wake | Listen | Conn of conn
 
-(* [`Merge] is the gossip plane riding the shard queues: it executes
-   under the same single-writer discipline as every client op, but has
-   no response and no [c_pending] slot (the I/O loop acks the whole
-   frame immediately). [`Echo] is the digest receiver closing an
-   object's restart-recovery window after a fingerprint agreed with a
-   peer — same responseless routing. *)
-type task = {
+(* Object ops a loop cycle decoded for one shard, waiting for the end
+   of the read phase (or for [max_batch]) to run as one locked batch. *)
+and stage = { mutable st_n : int; st_tasks : task option array }
+
+(* [`Merge] is the gossip plane riding the stages: it executes under
+   the same shard lock as every client op, but has no response and no
+   [c_pending] slot (the loop acks the whole frame immediately).
+   [`Echo] is the digest receiver closing an object's restart-recovery
+   window after a fingerprint agreed with a peer — same responseless
+   routing. *)
+and task = {
   t_conn : conn;
   t_obj : Objects.obj;
   t_op :
     [ `Inc | `Add of int | `Read | `Write of int | `Merge of Delta.t | `Echo ];
   t_id : int;
-  t_enq : float;
+}
+
+(* Shard s is a lock, not a domain. Whichever I/O loop holds [sh_mu]
+   is the owner of every object hashed to s and runs its ops with
+   [pid = s], so each object has one serial execution history: the
+   single-writer invariants of [Objects] (exact shadow, fusion scratch,
+   WAL gating, the replication own slot) and of the shard's [Metrics]
+   row rest on the mutex, which orders successive holders. *)
+type shard = {
+  sh_mu : Mutex.t;
+  mutable sh_stamp : int;  (* batch_read memo stamp; bumped under sh_mu *)
+  sh_stats : Metrics.shard;
 }
 
 type t = {
@@ -141,7 +145,7 @@ type t = {
   metrics : Metrics.t;
   table : Objects.table;
   placement : Placement.t;
-  queues : task Bqueue.t array;
+  shards : shard array;
   loops : io_loop array;
   live_conns : int Atomic.t;
   mutable accept_rr : int;  (* accepting loop only *)
@@ -153,7 +157,6 @@ type t = {
   wal : Persist.Wal.t option;  (* the durability plane, if --data-dir *)
   mutable gossip : Gossip.t option;
   mutable io_domain_handles : unit Domain.t array;
-  mutable shard_domains : unit Domain.t array;
   mutable snap_domain : unit Domain.t option;
 }
 
@@ -165,7 +168,7 @@ let placement t = t.placement
 let live_connections t = Atomic.get t.live_conns
 
 (* ------------------------------------------------------------------ *)
-(* Output path (any domain)                                            *)
+(* Output path (home loop)                                             *)
 (* ------------------------------------------------------------------ *)
 
 let wake_byte = Bytes.make 1 '!'
@@ -174,70 +177,63 @@ let wake_loop loop =
   try ignore (Unix.write loop.l_wake_w wake_byte 0 1) with
   | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
 
-(* Wake the gossip sender out of its interval sleep (shard domains,
-   when local growth crosses the k_staleness boundary). The exchange
-   dedups: one pipe byte per sleep, however many shards kick. *)
+(* Wake the gossip sender out of its interval sleep (when local growth
+   crosses the k_staleness boundary). The exchange dedups: one pipe
+   byte per sleep, however many loops kick. *)
 let kick_gossip t =
   if not (Atomic.exchange t.g_kick true) then
     try ignore (Unix.write t.g_wake_w wake_byte 0 1) with
     | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
 
-(* Append a response to the connection's write-side buffer; any
-   domain. The [exchange] dedups notifications: only the writer that
-   turns [c_has_out] on pushes the connection onto its home loop's
-   flush queue and pays the wake syscall. *)
+(* Append a reply to the connection's output; the first reply of a
+   cycle also puts the connection on its loop's flush list, so every
+   reply of the cycle leaves in one coalesced write at its end. *)
 let enqueue_response conn resp =
   if conn.c_alive then begin
-    Mutex.lock conn.c_out_mu;
-    let before = Obuf.length conn.c_out in
     Wire.encode_response_obuf conn.c_out resp;
-    let added = Obuf.length conn.c_out - before in
-    Mutex.unlock conn.c_out_mu;
-    ignore (Atomic.fetch_and_add conn.c_backlog added);
-    if not (Atomic.exchange conn.c_has_out true) then begin
+    if not conn.c_queued then begin
+      conn.c_queued <- true;
       let home = conn.c_home in
-      Mutex.lock home.l_mu;
-      home.l_flushq <- conn :: home.l_flushq;
-      Mutex.unlock home.l_mu;
-      wake_loop home
+      home.l_flushq <- conn :: home.l_flushq
     end
   end
 
 (* ------------------------------------------------------------------ *)
-(* Shard domains                                                       *)
+(* Shard execution (under the shard lock)                              *)
 (* ------------------------------------------------------------------ *)
 
-let finish_task (stats : Metrics.shard) task resp =
+let finish_task (stats : Metrics.shard) task resp ~now ~staged =
   stats.tasks <- stats.tasks + 1;
   enqueue_response task.t_conn resp;
-  Histogram.record stats.s_latency
-    (int_of_float ((Unix.gettimeofday () -. task.t_enq) *. 1e9));
-  ignore (Atomic.fetch_and_add task.t_conn.c_pending (-1))
+  Histogram.record stats.s_latency (now - staged);
+  task.t_conn.c_pending <- task.t_conn.c_pending - 1
 
-(* Drain-batch fusion. Every task popped in one drain is in flight
-   concurrently — the client pipelined all of them and none has been
-   answered — so the shard may linearize them in any serial order.
+(* Drain-batch fusion. Every task staged in one loop cycle is in
+   flight concurrently — its client sent it and no reply has been
+   written yet, on any connection — so the shard may linearize a batch
+   of them in any serial order.
    That makes two fusions sound:
    - all INC/ADDs for one object coalesce into a single bulk
      [Objects.apply_pending] (phase 1 accumulates, phase 2 applies);
    - every READ of one object is answered from a single computed
-     value ([Objects.batch_read], keyed by the drain stamp) — they
-     all linearize at that one read.
+     value ([Objects.batch_read], keyed by the shard's batch stamp) —
+     they all linearize at that one read.
    Replies still go out in arrival order with per-task latency
    accounting; rejections are handled inline in phase 1 (a WRITE
-   between two READs of a max register in the same drain is concurrent
+   between two READs of a max register in the same batch is concurrent
    with both, so answering both reads from one value remains
    linearizable).
 
-   Durability rides the same drain: phase 1/2 mutations that outgrow
+   Durability rides the same batch: phase 1/2 mutations that outgrow
    the envelope stage a WAL record ([check_persist], the disk analogue
-   of [check_boundary]); the staged frames are flushed once per drain,
+   of [check_boundary]); the staged frames are flushed once per batch,
    after phase 2 and before phase 3 — so every mutation ack (WRITE Ok,
    deferred for exactly this reason, and INC/ADD) goes out only after
    its covering record has reached at least the page cache, which is
    what "no acked op lost beyond the envelope under kill -9" rests
    on. *)
-let exec_batch t shard_id (stats : Metrics.shard) batch n ~stamp ~dirty =
+let exec_batch t shard_id (stats : Metrics.shard) batch n ~stamp ~dirty ~staged
+    =
   let n_dirty = ref 0 in
   let deferred = ref 0 in
   let clustered = t.cfg.nodes > 1 in
@@ -287,7 +283,8 @@ let exec_batch t shard_id (stats : Metrics.shard) batch n ~stamp ~dirty =
           check_boundary task.t_obj;
           check_persist task.t_obj
         | Error () ->
-          finish_task stats task (Wire.Bad_request { id });
+          finish_task stats task (Wire.Bad_request { id })
+            ~now:(Clock.now_ns ()) ~staged;
           batch.(i) <- None)
       | `Inc | `Add _ ->
         let bad_delta =
@@ -298,7 +295,8 @@ let exec_batch t shard_id (stats : Metrics.shard) batch n ~stamp ~dirty =
         if bad_delta || not (Objects.is_counter_obj task.t_obj) then begin
           let os = Objects.stats task.t_obj in
           os.rejects <- os.rejects + 1;
-          finish_task stats task (Wire.Bad_request { id });
+          finish_task stats task (Wire.Bad_request { id })
+            ~now:(Clock.now_ns ()) ~staged;
           batch.(i) <- None
         end
         else begin
@@ -330,10 +328,11 @@ let exec_batch t shard_id (stats : Metrics.shard) batch n ~stamp ~dirty =
     stats.boundary_kicks <- stats.boundary_kicks + 1;
     kick_gossip t
   end;
-  (* Group commit: one write(2) for every record this drain staged,
+  (* Group commit: one write(2) for every record this batch staged,
      before any mutation ack leaves in phase 3. *)
   (match t.wal with Some wal -> Persist.Wal.flush wal | None -> ());
   (* Phase 3: replies in arrival order. *)
+  let now = Clock.now_ns () in
   for i = 0 to n - 1 do
     match batch.(i) with
     | None -> ()
@@ -347,27 +346,50 @@ let exec_batch t shard_id (stats : Metrics.shard) batch n ~stamp ~dirty =
             { id; value = Objects.batch_read task.t_obj ~pid:shard_id ~stamp }
         | `Merge _ | `Echo -> assert false (* finished in phase 1 *)
       in
-      finish_task stats task resp;
+      finish_task stats task resp ~now ~staged;
       batch.(i) <- None
   done
 
-let shard_loop t shard_id =
-  let q = t.queues.(shard_id) in
-  let stats = Metrics.shard t.metrics shard_id in
-  let batch = Array.make t.cfg.max_batch None in
-  let dirty = Array.make t.cfg.max_batch None in
-  let stamp = ref 0 in
-  let rec go () =
-    let n = Bqueue.pop_batch q ~max:t.cfg.max_batch batch in
-    if n > 0 then begin
+(* Run the loop's stage for shard [s] as one batch under the shard's
+   lock. The lock is what makes this loop the shard's owner for the
+   batch; the stamp is the shard's, so two loops' batches never share
+   a [batch_read] memo. *)
+let run_stage t loop s =
+  let st = loop.l_stages.(s) in
+  let n = st.st_n in
+  if n > 0 then begin
+    st.st_n <- 0;
+    let sh = t.shards.(s) in
+    let stats = sh.sh_stats in
+    Mutex.lock sh.sh_mu;
+    match
       stats.batches <- stats.batches + 1;
       if n > stats.max_batch then stats.max_batch <- n;
-      incr stamp;
-      exec_batch t shard_id stats batch n ~stamp:!stamp ~dirty;
-      go ()
-    end
-  in
-  go ()
+      sh.sh_stamp <- sh.sh_stamp + 1;
+      exec_batch t s stats st.st_tasks n ~stamp:sh.sh_stamp ~dirty:loop.l_dirty
+        ~staged:loop.l_staged
+    with
+    | () -> Mutex.unlock sh.sh_mu
+    | exception e ->
+      Mutex.unlock sh.sh_mu;
+      raise e
+  end
+
+(* Stage an object op for its shard; a stage that fills to [max_batch]
+   runs at once, the rest at the end of the read phase. *)
+let stage t task =
+  let loop = task.t_conn.c_home in
+  let s = Objects.shard_of task.t_obj in
+  if loop.l_staged < 0 then loop.l_staged <- Clock.now_ns ();
+  let st = loop.l_stages.(s) in
+  st.st_tasks.(st.st_n) <- Some task;
+  st.st_n <- st.st_n + 1;
+  if st.st_n >= t.cfg.max_batch then run_stage t loop s
+
+let run_stages t loop =
+  for s = 0 to Array.length loop.l_stages - 1 do
+    run_stage t loop s
+  done
 
 (* ------------------------------------------------------------------ *)
 (* I/O loops                                                           *)
@@ -492,27 +514,16 @@ let dispatch t (il : Metrics.io_loop) conn req =
   let object_op id name op =
     let oid = resolve name in
     if oid < 0 then enqueue_response conn (Wire.Unknown_object { id })
+    else if conn.c_pending >= t.cfg.max_pending then begin
+      il.l_busy_replies <- il.l_busy_replies + 1;
+      enqueue_response conn (Wire.Busy { id })
+    end
     else begin
-      let obj = Objects.get t.table oid in
-      if Atomic.get conn.c_pending >= t.cfg.max_pending then begin
-        il.l_busy_replies <- il.l_busy_replies + 1;
-        enqueue_response conn (Wire.Busy { id })
-      end
-      else begin
-        let task =
-          { t_conn = conn;
-            t_obj = obj;
-            t_op = op;
-            t_id = id;
-            t_enq = Unix.gettimeofday () }
-        in
-        if Bqueue.try_push t.queues.(Objects.shard_of obj) task then
-          Atomic.incr conn.c_pending
-        else begin
-          il.l_busy_replies <- il.l_busy_replies + 1;
-          enqueue_response conn (Wire.Busy { id })
-        end
-      end
+      (* Counted before staging: a full stage runs (and answers) at
+         once. *)
+      conn.c_pending <- conn.c_pending + 1;
+      stage t
+        { t_conn = conn; t_obj = Objects.get t.table oid; t_op = op; t_id = id }
     end
   in
   match req with
@@ -564,27 +575,21 @@ let dispatch t (il : Metrics.io_loop) conn req =
     end
     else begin
       il.l_gossip_frames <- il.l_gossip_frames + 1;
-      (* Route each entry to its owning shard as a responseless merge
-         task; a full queue drops the entry — idempotent gossip
-         resends it next tick. The ack counts what was routed. *)
+      (* Stage each entry for its shard as a responseless merge task.
+         The ack counts the entries of known objects. *)
       let merged = ref 0 in
-      let now = Unix.gettimeofday () in
       List.iter
         (fun (name, delta) ->
           (* Peer connections resend the same object names every tick,
              so their intern cache converges just like a client's. *)
           let oid = resolve name in
           if oid >= 0 then begin
-            let obj = Objects.get t.table oid in
-            let task =
+            stage t
               { t_conn = conn;
-                t_obj = obj;
+                t_obj = Objects.get t.table oid;
                 t_op = `Merge delta;
-                t_id = 0;
-                t_enq = now }
-            in
-            if Bqueue.try_push t.queues.(Objects.shard_of obj) task then
-              incr merged
+                t_id = 0 };
+            incr merged
           end)
         entries;
       il.l_gossip_entries <- il.l_gossip_entries + !merged;
@@ -599,11 +604,8 @@ let dispatch t (il : Metrics.io_loop) conn req =
       il.l_gossip_frames <- il.l_gossip_frames + 1;
       (* The compact, unacked push: rebuild each entry's full-width
          delta from its (slot, total) pairs against the local
-         replication topology and route it to the owning shard. A
-         full queue drops the entry — absolute totals make resends
-         (the next dirty push or digest repair) converge anyway. *)
+         replication topology and stage it for its shard. *)
       let merged = ref 0 in
-      let now = Unix.gettimeofday () in
       List.iter
         (fun (e : Wire.g2_entry) ->
           let oid = resolve_peer_oid e.Wire.g2_oid e.Wire.g2_name in
@@ -637,15 +639,8 @@ let dispatch t (il : Metrics.io_loop) conn req =
                  disagreement, a real protocol violation *)
               il.l_protocol_errors <- il.l_protocol_errors + 1
             | Some d ->
-              let task =
-                { t_conn = conn;
-                  t_obj = obj;
-                  t_op = `Merge d;
-                  t_id = 0;
-                  t_enq = now }
-              in
-              if Bqueue.try_push t.queues.(Objects.shard_of obj) task then
-                incr merged
+              stage t { t_conn = conn; t_obj = obj; t_op = `Merge d; t_id = 0 };
+              incr merged
           end)
         entries;
       il.l_gossip_entries <- il.l_gossip_entries + !merged
@@ -663,7 +658,6 @@ let dispatch t (il : Metrics.io_loop) conn req =
          exports. Fingerprint equality while the local object still
          waits for its restart echo closes the window (see [`Echo]). *)
       let diverged = ref [] in
-      let now = Unix.gettimeofday () in
       List.iter
         (fun (e : Wire.digest_entry) ->
           let oid = resolve_peer_oid e.Wire.d_oid e.Wire.d_name in
@@ -678,16 +672,8 @@ let dispatch t (il : Metrics.io_loop) conn req =
               Objects.mark_dirty obj;
               diverged := e.Wire.d_oid :: !diverged
             end
-            else if Objects.recovering obj then begin
-              let task =
-                { t_conn = conn;
-                  t_obj = obj;
-                  t_op = `Echo;
-                  t_id = 0;
-                  t_enq = now }
-              in
-              ignore (Bqueue.try_push t.queues.(Objects.shard_of obj) task)
-            end
+            else if Objects.recovering obj then
+              stage t { t_conn = conn; t_obj = obj; t_op = `Echo; t_id = 0 }
           end)
         entries;
       enqueue_response conn (Wire.Digest_ack { id; oids = List.rev !diverged })
@@ -761,12 +747,13 @@ let parse_frames t (il : Metrics.io_loop) conn =
   in
   go 0 0
 
-(* Per-connection output backlog: bytes enqueued by shards (or the
-   loop itself) and not yet written to the socket. Reading pauses past
-   the watermark, so a client that floods requests without consuming
-   responses bounds its own footprint instead of growing the reply
-   buffer forever. *)
+(* Per-connection output backlog: reply bytes not yet written to the
+   socket. Reading pauses past the watermark, so a client that floods
+   requests without consuming responses bounds its own footprint
+   instead of growing the reply buffer forever. *)
 let out_high_watermark = 1 lsl 18
+
+let backlog conn = Obuf.length conn.c_out - conn.c_out_off
 
 let pause_reads conn =
   if (not conn.c_paused) && conn.c_slot >= 0 then begin
@@ -786,7 +773,7 @@ let recheck_paused loop =
     List.iter
       (fun conn ->
         if conn.c_alive then begin
-          if Atomic.get conn.c_backlog < out_high_watermark then begin
+          if backlog conn < out_high_watermark then begin
             conn.c_paused <- false;
             Poller.set_read loop.l_poller conn.c_slot true
           end
@@ -795,7 +782,7 @@ let recheck_paused loop =
       paused
 
 let handle_readable t (il : Metrics.io_loop) conn =
-  if Atomic.get conn.c_backlog >= out_high_watermark then pause_reads conn
+  if backlog conn >= out_high_watermark then pause_reads conn
   else begin
     let space = Bytes.length conn.c_in - conn.c_in_len in
     if space > 0 then
@@ -808,35 +795,26 @@ let handle_readable t (il : Metrics.io_loop) conn =
       | exception Unix.Unix_error _ -> close_conn t conn
   end
 
-(* One coalesced write per flushable connection. When the flush side
-   is drained and shards have buffered more, swap the two buffers'
-   storage under the mutex (O(1), no copy) and push as much as the
-   socket accepts; write interest stays on only while bytes remain. *)
+(* One coalesced write of everything the connection has not yet
+   written; write interest stays on only while bytes remain. A drained
+   buffer rewinds to empty and is reused warm — no copy, no steady-state
+   allocation. *)
 let try_flush t conn =
   let loop = conn.c_home in
-  let il = loop.l_metrics in
-  if conn.c_flush_off >= Obuf.length conn.c_flush && Atomic.get conn.c_has_out
-  then begin
-    Atomic.set conn.c_has_out false;
-    Mutex.lock conn.c_out_mu;
-    Obuf.swap conn.c_out conn.c_flush;
-    Obuf.clear conn.c_out;
-    Mutex.unlock conn.c_out_mu;
-    conn.c_flush_off <- 0
-  end;
-  let len = Obuf.length conn.c_flush in
-  if conn.c_flush_off < len then begin
+  let len = Obuf.length conn.c_out in
+  if conn.c_out_off < len then begin
     match
-      Unix.write conn.c_fd (Obuf.bytes conn.c_flush) conn.c_flush_off
-        (len - conn.c_flush_off)
+      Unix.write conn.c_fd (Obuf.bytes conn.c_out) conn.c_out_off
+        (len - conn.c_out_off)
     with
     | n ->
-      conn.c_flush_off <- conn.c_flush_off + n;
-      ignore (Atomic.fetch_and_add conn.c_backlog (-n));
-      Histogram.record il.l_flush_bytes n;
-      let drained =
-        conn.c_flush_off >= len && not (Atomic.get conn.c_has_out)
-      in
+      Histogram.record loop.l_metrics.l_flush_bytes n;
+      let drained = conn.c_out_off + n >= len in
+      if drained then begin
+        Obuf.clear conn.c_out;
+        conn.c_out_off <- 0
+      end
+      else conn.c_out_off <- conn.c_out_off + n;
       if conn.c_close_after_flush && drained then close_conn t conn
       else if conn.c_slot >= 0 then
         Poller.set_write loop.l_poller conn.c_slot (not drained)
@@ -844,10 +822,21 @@ let try_flush t conn =
       if conn.c_slot >= 0 then Poller.set_write loop.l_poller conn.c_slot true
     | exception Unix.Unix_error _ -> close_conn t conn
   end
-  else if conn.c_close_after_flush && not (Atomic.get conn.c_has_out) then
-    close_conn t conn
+  else if conn.c_close_after_flush then close_conn t conn
   else if conn.c_slot >= 0 then
     Poller.set_write loop.l_poller conn.c_slot false
+
+(* Write out every connection that got replies this cycle. *)
+let flush_queued t loop =
+  match loop.l_flushq with
+  | [] -> ()
+  | q ->
+    loop.l_flushq <- [];
+    List.iter
+      (fun conn ->
+        conn.c_queued <- false;
+        if conn.c_alive then try_flush t conn)
+      q
 
 let poller_name t = Poller.name t.loops.(0).l_poller
 
@@ -857,13 +846,10 @@ let make_conn ~home fd =
     c_in_len = 0;
     c_role = Pending;
     c_close_after_flush = false;
-    c_out_mu = Mutex.create ();
     c_out = Obuf.create ();
-    c_flush = Obuf.create ();
-    c_flush_off = 0;
-    c_backlog = Atomic.make 0;
-    c_pending = Atomic.make 0;
-    c_has_out = Atomic.make false;
+    c_out_off = 0;
+    c_pending = 0;
+    c_queued = false;
     c_alive = true;
     c_slot = -1;
     c_paused = false;
@@ -919,20 +905,12 @@ let rec accept_burst t loop =
   | exception Unix.Unix_error (EINTR, _, _) -> accept_burst t loop
   | exception Unix.Unix_error _ -> ()
 
-let drain_queue loop which =
-  match which with
-  | `Flush ->
-    Mutex.lock loop.l_mu;
-    let q = loop.l_flushq in
-    loop.l_flushq <- [];
-    Mutex.unlock loop.l_mu;
-    q
-  | `Handoff ->
-    Mutex.lock loop.l_mu;
-    let q = loop.l_handoff in
-    loop.l_handoff <- [];
-    Mutex.unlock loop.l_mu;
-    q
+let take_handoff loop =
+  Mutex.lock loop.l_mu;
+  let q = loop.l_handoff in
+  loop.l_handoff <- [];
+  Mutex.unlock loop.l_mu;
+  q
 
 let io_loop_run t loop =
   let poller = loop.l_poller in
@@ -963,7 +941,8 @@ let io_loop_run t loop =
     Poller.wait poller ~timeout:0.25;
     let nr = Poller.ready_reads poller and nw = Poller.ready_writes poller in
     if nr > 0 || nw > 0 then begin
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_ns () in
+      loop.l_staged <- -1;
       if nr + nw > il.l_max_ready_batch then il.l_max_ready_batch <- nr + nw;
       for i = 0 to nr - 1 do
         let slot = Poller.ready_read poller i in
@@ -973,12 +952,13 @@ let io_loop_run t loop =
         | Some (Conn conn) -> if conn.c_alive then handle_readable t il conn
         | None -> () (* closed earlier in this dispatch *)
       done;
-      List.iter (fun conn -> register_conn t loop conn) (drain_queue loop `Handoff);
-      (* Flush connections that turned flushable (including replies the
-         shards produced while we were parsing), then write-ready ones. *)
-      List.iter
-        (fun conn -> if conn.c_alive then try_flush t conn)
-        (drain_queue loop `Flush);
+      (* Execute what the read phase staged: one locked batch per
+         shard. Every reply of the cycle is encoded by now. *)
+      run_stages t loop;
+      List.iter (fun conn -> register_conn t loop conn) (take_handoff loop);
+      (* Write out this cycle's replies, then what write-ready
+         connections still hold from earlier cycles. *)
+      flush_queued t loop;
       for i = 0 to nw - 1 do
         let slot = Poller.ready_write poller i in
         match Poller.data poller slot with
@@ -986,9 +966,11 @@ let io_loop_run t loop =
         | Some (Wake | Listen) | None -> ()
       done;
       recheck_paused loop;
+      (* Read the clock first so a racy STATS reader sees the cycle
+         counter and the histogram count move together. *)
+      let dt = Clock.now_ns () - t0 in
       il.l_cycles <- il.l_cycles + 1;
-      Histogram.record il.l_cycle_ns
-        (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+      Histogram.record il.l_cycle_ns dt
     end
   done;
   (* Shutdown: close every connection this loop owns, including ones
@@ -997,7 +979,7 @@ let io_loop_run t loop =
   Poller.iter poller (fun _slot kind ->
       match kind with Conn conn -> owned := conn :: !owned | Wake | Listen -> ());
   List.iter (fun conn -> close_conn t conn) !owned;
-  List.iter (fun conn -> close_conn t conn) (drain_queue loop `Handoff);
+  List.iter (fun conn -> close_conn t conn) (take_handoff loop);
   Poller.close poller
 
 (* ------------------------------------------------------------------ *)
@@ -1021,7 +1003,6 @@ let bind_listen ~backlog = function
 let start ?(config = default_config) ~listen () =
   if config.shards < 1 then invalid_arg "Server.start: shards < 1";
   if config.io_domains < 1 then invalid_arg "Server.start: io_domains < 1";
-  if config.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity < 1";
   if config.max_batch < 1 then invalid_arg "Server.start: max_batch < 1";
   if config.max_pending < 1 then invalid_arg "Server.start: max_pending < 1";
   if config.max_conns < 1 then invalid_arg "Server.start: max_conns < 1";
@@ -1140,9 +1121,14 @@ let start ?(config = default_config) ~listen () =
           l_metrics = Metrics.io_loop metrics l;
           l_poller = Poller.create ~choice:config.poller ();
           l_mu = Mutex.create ();
-          l_flushq = [];
           l_handoff = [];
-          l_paused = [] })
+          l_flushq = [];
+          l_paused = [];
+          l_stages =
+            Array.init config.shards (fun _ ->
+                { st_n = 0; st_tasks = Array.make config.max_batch None });
+          l_dirty = Array.make config.max_batch None;
+          l_staged = -1 })
   in
   let g_wake_r, g_wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock g_wake_r;
@@ -1155,9 +1141,11 @@ let start ?(config = default_config) ~listen () =
       metrics;
       table;
       placement;
-      queues =
-        Array.init config.shards (fun _ ->
-            Bqueue.create ~capacity:config.queue_capacity);
+      shards =
+        Array.init config.shards (fun s ->
+            { sh_mu = Mutex.create ();
+              sh_stamp = 0;
+              sh_stats = Metrics.shard metrics s });
       loops;
       live_conns = Atomic.make 0;
       accept_rr = 0;
@@ -1169,11 +1157,8 @@ let start ?(config = default_config) ~listen () =
       wal;
       gossip = None;
       io_domain_handles = [||];
-      shard_domains = [||];
       snap_domain = None }
   in
-  t.shard_domains <-
-    Array.init config.shards (fun s -> Domain.spawn (fun () -> shard_loop t s));
   t.io_domain_handles <-
     Array.map (fun loop -> Domain.spawn (fun () -> io_loop_run t loop)) loops;
   (match (wal, config.data_dir) with
@@ -1205,8 +1190,6 @@ let stop t =
     t.gossip <- None;
     Array.iter wake_loop t.loops;
     Array.iter Domain.join t.io_domain_handles;
-    Array.iter Bqueue.close t.queues;
-    Array.iter Domain.join t.shard_domains;
     (* Durability shutdown, after the last possible append: the
        snapshot domain exits within ~50 ms of the stop flag; a final
        snapshot + truncate + synced close makes restart replay-free.

@@ -1,52 +1,63 @@
 (** The sharded, batched approximate-object server.
 
-    Topology: [io_domains] event-loop domains plus [shards] worker
-    domains. Loop 0 accepts connections and deals them round-robin
-    across the loops; from then on a connection belongs to exactly one
-    loop, which owns its socket, input buffer and flush buffer — no
-    cross-loop locking on the per-connection hot path. Each loop runs
-    a slot-indexed {!Poller} (O(1) interest flips, O(ready) dispatch),
+    Topology: [io_domains] event-loop domains serve every request (the
+    gossip sender and the snapshot writer, when enabled, run beside
+    them) — a request runs to completion on the loop that read it.
+    Loop 0
+    accepts connections and deals them round-robin across the loops;
+    from then on a connection belongs to exactly one loop, which owns
+    its socket, input buffer and output buffer. Each loop runs a
+    slot-indexed {!Poller} (O(1) interest flips, O(ready) dispatch),
     drains each readable socket with a single [read] that may carry
-    many frames (the read batch), decodes requests and routes each to
-    the queue of the shard that owns the named object ({!Objects}).
-    Each shard domain blocks on its bounded queue, drains up to
-    [max_batch] tasks per wakeup, executes them against the multicore
-    algorithm instances with [pid = shard], and appends the encoded
-    responses to the connection's output buffer. A shard that makes a
-    connection flushable notifies only the owning loop (flush queue +
-    wake pipe); the loop swaps the connection's double buffer in O(1)
-    and flushes with single coalesced [write]s — no copy, no
-    steady-state allocation.
+    many frames (the read batch) and decodes them. Object ops are
+    staged per shard; at the end of the read phase (or as soon as a
+    stage reaches [max_batch]) the loop takes that shard's lock and
+    executes the stage as one fused batch against the multicore
+    algorithm instances with [pid = shard], encoding each reply
+    straight into its connection's output buffer. The cycle ends with
+    one coalesced [write] per connection that got replies. No request
+    crosses a domain: the wake pipe carries only accept handoffs and
+    stop.
+
+    A shard is a lock, not a thread. Algorithms 1 and 2 are wait-free
+    for [n] processes, so the service only has to give each
+    concurrent caller its own pid: whoever holds shard [s]'s lock is
+    process [s] ([n = shards]), and every object hashed to [s] keeps
+    one serial execution history — the basis of the exact accuracy
+    self-check recorded in {!Metrics}. Loops contend only when they
+    execute batches for the same shard in the same instant.
 
     Backpressure is explicit and bounded everywhere: a connection may
-    have at most [max_pending] requests in flight and each shard queue
-    holds at most [queue_capacity] tasks; a request that would exceed
-    either limit is answered immediately with BUSY and nothing is
-    buffered. A connection whose un-flushed output exceeds a watermark
-    stops being read until the client drains it. A frame whose header
-    exceeds the protocol cap closes the connection before the payload
-    is read.
+    have at most [max_pending] object ops staged and unanswered; a
+    request beyond that is answered immediately with BUSY and nothing
+    is buffered. Every staged op is answered within the cycle that
+    staged it, and a stage runs as soon as it holds [max_batch] tasks,
+    so a connection never has more than [shards * (max_batch - 1) + 1]
+    ops pending: [max_pending] only bites when it is set below
+    [shards * max_batch] (it does not at the defaults, 256 against
+    2 * 64). What bounds memory at the defaults is [max_batch] plus
+    the output watermark. A connection whose un-flushed output exceeds a
+    watermark stops being read until the client drains it. A frame
+    whose header exceeds the protocol cap closes the connection before
+    the payload is read.
 
-    STATS and PING are served directly on the owning I/O loop (they
-    touch no object); all object ops flow through the owning shard,
-    which also gives every object a serial execution history — the
-    basis of the exact accuracy self-check recorded in {!Metrics}.
+    STATS and PING are answered on the owning I/O loop as soon as they
+    are parsed (they touch no object).
 
     A dead client costs nothing: when a socket errors or EOFs
     (including mid-frame), the connection is marked dead and closed by
-    its owning loop; responses still in flight from shards are encoded
-    into a buffer that is never flushed and the shard stays
-    serviceable for every other connection.
+    its owning loop; ops it had already staged still execute, and
+    their replies are dropped.
 
     {b Cluster mode} ([nodes > 1]): every participant derives the same
     consistent-hash ring from [(nodes, replicas)], and this node
     builds only the object slice placed on [node_id]. The first frame
     on every connection must be a HELLO carrying the protocol version
-    and a role; peer-role connections unlock GOSSIP frames (merged
-    into objects through the owning shard's queue, preserving the
+    and a role; peer-role connections unlock GOSSIP frames (staged and
+    merged under the shard lock like any client op, preserving the
     single-writer discipline) and the large peer frame cap. A gossip
     sender domain pushes dirty deltas to [peers] every
-    [gossip_interval_ms] — or eagerly, when a shard observes an
+    [gossip_interval_ms] — or eagerly, when a batch observes an
     object's own contribution growing past [k_staleness] times the
     last export, which bounds the cluster-wide factor of any replica's
     read at [k_local * k_staleness].
@@ -74,11 +85,17 @@ type listen =
   | `Tcp of string * int  (** Host and port; port 0 picks a free one. *) ]
 
 type config = {
-  shards : int;  (** Worker domains (>= 1). *)
+  shards : int;
+      (** Shard locks (>= 1): objects hash to a shard, and [n] of the
+          approximate objects' process count. *)
   io_domains : int;  (** Event-loop domains (>= 1). *)
-  queue_capacity : int;  (** Per-shard task-queue bound. *)
-  max_batch : int;  (** Max tasks one shard wakeup drains. *)
-  max_pending : int;  (** Per-connection in-flight request bound. *)
+  max_batch : int;
+      (** Max tasks one locked batch executes; a loop's stage for a
+          shard runs early once it holds this many. *)
+  max_pending : int;
+      (** Per-connection bound on staged, unanswered object ops; beyond
+          it a request gets BUSY. Inert unless below
+          [shards * max_batch] (see the backpressure paragraph). *)
   max_conns : int;  (** Accepted connections beyond this are closed. *)
   poller : Poller.choice;
       (** Readiness backend for every event loop ([Auto] = epoll when
@@ -129,7 +146,7 @@ type config = {
 }
 
 val default_config : config
-(** 2 shards, 1 io domain, 1024-task queues, 64-task batches, 256
+(** 2 shards, 1 io domain, 64-task batches, 256
     in-flight requests per connection, 1024 connections, [Auto]
     poller, [Objects.default_specs ~counters:4 ~k:4]; standalone
     topology (node 0 of 1, no peers, 50 ms interval, k_staleness 2,
@@ -140,8 +157,8 @@ val default_config : config
 type t
 
 val start : ?config:config -> listen:listen -> unit -> t
-(** Bind, build the object table, spawn the shard and I/O domains and
-    return immediately; the returned handle is ready to serve. Raises
+(** Bind, build the object table, spawn the I/O domains and return
+    immediately; the returned handle is ready to serve. Raises
     the soft [RLIMIT_NOFILE] toward the hard limit and sizes the
     listen backlog with [max_conns] (clamped to 4096).
     @raise Invalid_argument on a nonsensical config;
@@ -169,8 +186,8 @@ val poller_name : t -> string
     ["select"]) — the [Auto] resolution. *)
 
 val stop : t -> unit
-(** Close the listener and every connection, drain the shard queues,
-    join all domains and unlink a Unix socket path. With a [data_dir],
+(** Close the listener and every connection, join all domains and
+    unlink a Unix socket path. With a [data_dir],
     additionally write a final snapshot, truncate the log and close
     the WAL with an fsync (best-effort, bounded by the ~50 ms snapshot
     wakeup slice) so a clean shutdown restarts replay-free; [kill -9]

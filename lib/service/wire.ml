@@ -366,9 +366,9 @@ let encode_response buf resp =
     List.iter (fun oid -> add_varint_buf buf oid) oids
 
 (* The same response encoding into an [Obuf.t] — the server's flush
-   path, where the double-buffer swap makes steady-state encoding
-   allocation-free (a [Buffer.t] would force a [to_bytes] copy per
-   flush). Kept byte-for-byte identical to [encode_response] (asserted
+   path, where writing straight from the buffer's storage makes
+   steady-state encoding allocation-free (a [Buffer.t] would force a
+   [to_bytes] copy per flush). Kept byte-for-byte identical to [encode_response] (asserted
    by a qcheck parity test). *)
 (* No local [header]/[bare] helpers here: closing over [ob] would
    allocate a closure per response — measurable heat on the flush

@@ -210,8 +210,8 @@ val gossip_payload_len : (string * Delta.t) list -> int
 
 val encode_response_obuf : Obuf.t -> response -> unit
 (** [encode_response] into an {!Obuf.t} — byte-identical frames, but
-    appending to a swappable buffer so the server's steady-state flush
-    path never copies or allocates. *)
+    appending to a reusable buffer the server writes from directly, so
+    the steady-state flush path never copies or allocates. *)
 
 (** {1 Streaming peer-frame builder}
 

@@ -1,6 +1,6 @@
-(* The zero-copy output path: Obuf growth/swap semantics, byte-for-byte
+(* The zero-copy output path: Obuf growth semantics, byte-for-byte
    parity between the Buffer and Obuf response encoders, and the
-   zero-allocation guarantee of the warm encode -> swap -> write cycle
+   zero-allocation guarantee of the warm encode -> write -> clear cycle
    that the server's flush path relies on. *)
 
 module W = Service.Wire
@@ -33,18 +33,6 @@ let test_obuf_integers () =
   Buffer.add_int64_be expect 0x05060708090A0BL;
   check Alcotest.string "big-endian layout matches Buffer" (Buffer.contents expect)
     (O.contents b)
-
-let test_obuf_swap () =
-  let a = O.create () and b = O.create () in
-  O.add_string a "aaaa";
-  O.add_string b "bb";
-  let sa = O.bytes a and sb = O.bytes b in
-  O.swap a b;
-  check Alcotest.string "a has b's bytes" "bb" (O.contents a);
-  check Alcotest.string "b has a's bytes" "aaaa" (O.contents b);
-  (* Swap exchanges storage, it does not copy. *)
-  Alcotest.(check bool) "storage exchanged, not copied" true
-    (O.bytes a == sb && O.bytes b == sa)
 
 (* ------------------------------------------------------------------ *)
 (* Encoder parity                                                      *)
@@ -94,37 +82,33 @@ let assert_no_alloc label ~ops f =
     Alcotest.failf "%s allocated %.0f minor words over %d ops" label delta ops
 
 (* The server's per-cycle output work, warm: encode a response into the
-   write side, O(1)-swap it to the flush side and push it with a
-   [Unix.write]. After the first cycles have sized both buffers, the
-   loop must stay off the OCaml heap entirely. *)
+   connection's buffer, push it with a [Unix.write] straight from the
+   buffer's storage and rewind the drained buffer. After the first
+   cycles have sized the buffer, the loop must stay off the OCaml heap
+   entirely. *)
 let test_flush_cycle_no_alloc () =
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close null)
     (fun () ->
-      let out = O.create () and flush = O.create () in
+      let out = O.create () in
       let resp = W.Value { id = 7; value = 123456789 } in
-      (* Warm both storages through a few full cycles. *)
+      (* Warm the storage through a few full cycles. *)
       for _ = 1 to 8 do
         W.encode_response_obuf out resp;
-        O.swap out flush;
-        O.clear out;
-        ignore (Unix.write null (O.bytes flush) 0 (O.length flush));
-        O.clear flush
+        ignore (Unix.write null (O.bytes out) 0 (O.length out));
+        O.clear out
       done;
-      assert_no_alloc "encode+swap+write cycle" ~ops:50_000 (fun _ ->
+      assert_no_alloc "encode+write+clear cycle" ~ops:50_000 (fun _ ->
           W.encode_response_obuf out resp;
-          O.swap out flush;
-          O.clear out;
-          ignore (Unix.write null (O.bytes flush) 0 (O.length flush));
-          O.clear flush))
+          ignore (Unix.write null (O.bytes out) 0 (O.length out));
+          O.clear out))
 
 let () =
   Alcotest.run "service_obuf"
     [ ("obuf",
        [ ("append, grow, clear", `Quick, test_obuf_basic);
-         ("big-endian integers", `Quick, test_obuf_integers);
-         ("O(1) storage swap", `Quick, test_obuf_swap) ]);
+         ("big-endian integers", `Quick, test_obuf_integers) ]);
       ("encoding",
        [ QCheck_alcotest.to_alcotest test_encoder_parity ]);
       ("allocation",

@@ -1,8 +1,9 @@
 (* End-to-end tests of the sharded service over a Unix-domain socket:
    correctness of served ops, the k-multiplicative accuracy self-check
-   against the debug exact counter, the STATS op, bounded-queue
-   backpressure, and chaos (clients killed mid-request must leave
-   every shard serviceable). *)
+   against the debug exact counter, the STATS op, bounded-pending
+   backpressure, the run-to-completion design (no wake-ups on the
+   request path, shard locks under cross-loop contention), and chaos
+   (clients killed mid-request must leave every shard serviceable). *)
 
 module Srv = Service.Server
 module Cl = Service.Client
@@ -282,16 +283,12 @@ let test_loadgen_4_shards poller () =
 (* ------------------------------------------------------------------ *)
 
 let test_backpressure_bounded () =
-  (* A 1-deep shard queue + 1-task batches against a 4000-request
-     pipelined burst: the server must answer every request (BUSY at
-     saturation), never buffer unboundedly, and keep serving after. *)
-  let config =
-    { Srv.default_config with
-      shards = 1;
-      queue_capacity = 1;
-      max_batch = 1;
-      max_pending = 1_000_000 }
-  in
+  (* A 4-deep pending bound against a 4000-request pipelined burst: one
+     read parses far more than 4 frames, so all but the first 4 of each
+     read batch are refused before the cycle's stage runs. The server
+     must answer every request (BUSY at saturation), never buffer
+     unboundedly, and keep serving after. *)
+  let config = { Srv.default_config with shards = 1; max_pending = 4 } in
   with_server ~config (fun srv ->
       let c = Cl.connect (Srv.sockaddr srv) in
       let burst = 4_000 in
@@ -328,6 +325,89 @@ let test_max_pending_bound () =
       check Alcotest.int "sequential ops all served" 0
         (M.busy_replies (Srv.metrics srv));
       Cl.close c)
+
+(* ------------------------------------------------------------------ *)
+(* Run to completion                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A request is executed and answered on the loop that read it, so a
+   1-loop server at window 1 never writes its wake pipe: the only
+   producers left are accept handoffs to other loops and stop. *)
+let test_no_wakeups_at_window_1 () =
+  let config = { Srv.default_config with shards = 2; io_domains = 1 } in
+  with_server ~config (fun srv ->
+      let m = Srv.metrics srv in
+      let c = Cl.connect (Srv.sockaddr srv) in
+      Alcotest.(check bool) "ping" true (Cl.ping c);
+      let il = M.io_loop m 0 in
+      let wakeups0 = il.M.l_wakeups and tasks0 = M.total_ops m in
+      let n = 500 in
+      for i = 1 to n do
+        if i mod 4 = 0 then ignore (Cl.read_value c "c1")
+        else ignore (value_exn (Cl.inc c "c0"))
+      done;
+      check Alcotest.int "every op executed" n (M.total_ops m - tasks0);
+      check Alcotest.int "no wake-ups over the ops" 0 (il.M.l_wakeups - wakeups0);
+      Cl.close c)
+
+(* Two loops executing batches for the same single shard: the shard
+   lock is the only thing keeping the plain-int exact shadows and op
+   counters from losing updates. *)
+let test_cross_loop_contention () =
+  let config =
+    { Srv.default_config with shards = 1; io_domains = 2; max_pending = 64 }
+  in
+  with_server ~config (fun srv ->
+      let m = Srv.metrics srv in
+      let addr = Srv.sockaddr srv in
+      (* Round-robin dealing puts the two connections on different
+         loops. *)
+      let c1 = Cl.connect addr and c2 = Cl.connect addr in
+      Alcotest.(check bool) "ping 1" true (Cl.ping c1);
+      Alcotest.(check bool) "ping 2" true (Cl.ping c2);
+      for l = 0 to 1 do
+        check Alcotest.int (Printf.sprintf "loop %d owns one conn" l) 1
+          (M.io_loop m l).M.l_owned_conns
+      done;
+      let rounds = 200 and window = 32 in
+      (* Returns (acked c0 INCs, acked faa INCs, largest acked WRITE). *)
+      let drive c ~base =
+        let c0 = ref 0 and faa = ref 0 and top = ref 0 in
+        for r = 0 to rounds - 1 do
+          for j = 0 to window - 1 do
+            let id = (r * window) + j in
+            Cl.send c
+              (match j mod 4 with
+               | 0 | 1 -> W.Inc { id; name = "c0" }
+               | 2 -> W.Inc { id; name = "faa" }
+               | _ -> W.Write { id; name = "kmaxreg"; value = base + id })
+          done;
+          Cl.flush c;
+          for _ = 1 to window do
+            match Cl.recv c with
+            | W.Value { id; _ } -> (
+              match (id mod window) mod 4 with
+              | 0 | 1 -> incr c0
+              | 2 -> incr faa
+              | _ -> top := max !top (base + id))
+            | _ -> Alcotest.fail "unexpected reply under contention"
+          done
+        done;
+        (!c0, !faa, !top)
+      in
+      let d2 = Domain.spawn (fun () -> drive c2 ~base:1_000_000) in
+      let a0, af, at = drive c1 ~base:0 in
+      let b0, bf, bt = Domain.join d2 in
+      check Alcotest.int "c0 incs = acked INCs" (a0 + b0)
+        (obj_stats srv "c0").M.incs;
+      check Alcotest.int "faa reads exactly" (af + bf) (Cl.read_value c1 "faa");
+      let top = max at bt in
+      let served = Cl.read_value c1 "kmaxreg" in
+      Alcotest.(check bool) "kmaxreg within [max, k*max]" true
+        (served >= top && served <= 4 * top);
+      check Alcotest.int "no accuracy violations" 0 (M.acc_violations_total m);
+      Cl.close c1;
+      Cl.close c2)
 
 (* ------------------------------------------------------------------ *)
 (* Connection lifecycle: churn, max_conns, multi-loop ownership        *)
@@ -444,7 +524,7 @@ let test_multi_io_domain_load poller () =
           (Service.Histogram.count il.M.l_cycle_ns = il.M.l_cycles)
       done;
       check Alcotest.int "owned-connection gauges drained" 0 (M.owned_conns m);
-      Alcotest.(check bool) "shard wakeups reached the loops" true
+      Alcotest.(check bool) "accept handoffs woke the other loops" true
         (let total = ref 0 in
          for l = 0 to 3 do
            total := !total + (M.io_loop m l).M.l_wakeups
@@ -544,10 +624,15 @@ let () =
          ("pipelined burst through the fused drain", `Quick,
           test_pipelined_fusion_burst) ]);
       ("backpressure",
-       [ ("bounded queue answers BUSY, stays up", `Quick,
+       [ ("pending bound answers BUSY, stays up", `Quick,
           test_backpressure_bounded);
          ("sequential load never trips pending bound", `Quick,
           test_max_pending_bound) ]);
+      ("inline",
+       [ ("window 1 on one loop: no wake-ups", `Quick,
+          test_no_wakeups_at_window_1);
+         ("shard lock under cross-loop writes", `Quick,
+          test_cross_loop_contention) ]);
       ("lifecycle",
        per_poller (fun () ->
            [ ("connection churn leaks no fds", `Quick, test_connection_churn);

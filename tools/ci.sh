@@ -243,6 +243,36 @@ else
 fi
 rm -f /tmp/approx_ci_epoll_err.txt
 
+echo "== run-to-completion smoke: no wake-ups on the request path =="
+# Every request is executed and answered on the I/O loop that read it,
+# so a 1-loop server driven at window 1 must never write its wake pipe
+# (only accept handoffs to other loops and stop do).
+W1SOCK=/tmp/approx_ci_w1_$$.sock
+rm -f "$W1SOCK"
+_build/default/bin/approx_cli.exe serve --shards 2 --io-domains 1 \
+  --unix "$W1SOCK" --duration 60 &
+W1_PID=$!
+trap 'kill $W1_PID 2>/dev/null || true' EXIT
+for _ in $(seq 1 100); do
+  [ -S "$W1SOCK" ] && break
+  sleep 0.1
+done
+[ -S "$W1SOCK" ] || { echo "window-1 server socket never appeared"; exit 1; }
+_build/default/bin/approx_cli.exe loadgen --unix "$W1SOCK" --connections 1 \
+  --ops 3000 --pipeline 1
+_build/default/bin/approx_cli.exe stats --unix "$W1SOCK" \
+  > /tmp/approx_ci_w1_stats.json
+grep -q '"wakeups":' /tmp/approx_ci_w1_stats.json \
+  || { echo "stats JSON missing the loop wake-up counter"; exit 1; }
+grep '"wakeups":' /tmp/approx_ci_w1_stats.json | grep -qv '"wakeups": 0,' \
+  && { echo "a window-1 burst woke the I/O loop (request crossed a domain)"; exit 1; }
+grep -q '"acc_violations_total": 0' /tmp/approx_ci_w1_stats.json \
+  || { echo "window-1 burst violated the accuracy self-check"; exit 1; }
+kill $W1_PID
+wait $W1_PID 2>/dev/null || true
+trap - EXIT
+rm -f /tmp/approx_ci_w1_stats.json "$W1SOCK"
+
 echo "== durability smoke: WAL + fuzzy snapshots survive kill -9 =="
 # End-to-end crash recovery through the real binary: serve with a data
 # dir, push a write burst, SIGKILL (no shutdown path runs), restart on
@@ -335,7 +365,21 @@ CLNODES="${CLBASE}_0.sock,${CLBASE}_1.sock,${CLBASE}_2.sock"
   --ops 60000 --pipeline 8 --mix 2:7:1 --max-reconnects 8 \
   > /tmp/approx_ci_cluster_lg.txt &
 LG_PID=$!
-sleep 0.6
+# Kill node 1 once it has executed a slice of the load, not after a
+# fixed sleep, so the kill lands mid-run whatever the host's speed.
+node1_tasks() {
+  "$EXE" stats --unix "${CLBASE}_1.sock" 2>/dev/null \
+    | awk -F'[:,]' '/"tasks"/ { gsub(/ /,"",$2); t += $2 } END { print t + 0 }'
+}
+KILL_AT=20000
+for _ in $(seq 1 2000); do
+  [ "$(node1_tasks)" -ge "$KILL_AT" ] && break
+  kill -0 "$LG_PID" 2>/dev/null || break
+  sleep 0.005
+done
+kill -0 "$LG_PID" 2>/dev/null \
+  || { echo "cluster loadgen finished before node 1 reached $KILL_AT tasks"; \
+       cat /tmp/approx_ci_cluster_lg.txt; exit 1; }
 kill -9 "$NODE1_PID" 2>/dev/null || true
 wait "$NODE1_PID" 2>/dev/null || true
 sleep 0.4
